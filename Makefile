@@ -61,10 +61,12 @@ race: vet
 race-full: vet
 	$(GO) test -race ./...
 
-# One iteration of Figure 2 bare and with a live metrics registry: catches
-# benchmark rot and instrumentation regressions without a full bench run.
+# One iteration of Figure 2 bare and with a live metrics registry, and one
+# control-plane state derivation: catches benchmark rot and instrumentation
+# regressions without a full bench run.
 bench-smoke:
 	$(GO) test -bench 'BenchmarkFigure2(Metrics)?$$' -benchtime 1x -run '^$$' .
+	$(GO) test -bench 'BenchmarkStateOf$$' -benchtime 1x -run '^$$' ./internal/ctlplane/
 
 # Control-plane gate: the snapshotfields analyzer over the packages that
 # carry ChangeSet / snapshot state, then the end-to-end smoke test — build

@@ -25,6 +25,7 @@ import (
 	"net/http"
 	"os"
 	"strconv"
+	"time"
 
 	"bestofboth/internal/core"
 	"bestofboth/internal/ctlplane"
@@ -120,7 +121,16 @@ func run(tech string, seed int64, scale string, shards int, partition string, de
 	// The listen URL is the daemon's only stdout output and always the
 	// first line, so `cdnsimd -addr 127.0.0.1:0 | head -1` is scriptable.
 	fmt.Printf("listening on http://%s\n", ln.Addr())
-	return http.Serve(ln, srv.Handler())
+	// Read timeouts bound how long a slow or stalled client can hold a
+	// connection open before its request is complete. There is no write
+	// timeout: a ChangeSet's settle can legitimately take tens of seconds
+	// at internet scale.
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       time.Minute,
+	}
+	return hs.Serve(ln)
 }
 
 // sabotageHook is the standard -test-sabotage divergence: silently stop

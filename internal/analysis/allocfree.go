@@ -8,7 +8,8 @@ import (
 // AnalyzerAllocfree (cdnlint/allocfree) guards the allocation discipline
 // of hot paths annotated with a //cdnlint:allocfree doc comment (the
 // send/export/restore paths pinned by TestSendPathZeroAllocs,
-// TestExportPathAllocBudget, and TestRestoreAllocBudget). Inside an
+// TestExportPathAllocBudget, and TestRestoreAllocBudget, and the digest
+// encoders pinned by TestStateDigestAllocBudget). Inside an
 // annotated function it flags the allocation classes those tests exist to
 // catch creeping back in:
 //

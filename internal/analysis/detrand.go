@@ -25,6 +25,7 @@ var deterministicPkgs = []string{
 	"internal/topology",
 	"internal/collector",
 	"internal/traffic",
+	"internal/canon",
 }
 
 func isDeterministicPkg(path string) bool {

@@ -2,6 +2,7 @@ package ctlplane
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -184,7 +185,7 @@ func (s *Server) handleState(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleDigests(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, StateOf(s.world).Digests)
+	writeJSON(w, http.StatusOK, digestsOf(s.world))
 }
 
 func (s *Server) handleDNS(w http.ResponseWriter, _ *http.Request) {
@@ -236,6 +237,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.cfg.Obs.WritePrometheus(w)
 }
+
+// maxChangeSetBody bounds a POST /v1/changesets body. A real ChangeSet is
+// a few hundred bytes; the bound keeps a hostile or broken client from
+// making the server buffer an unbounded document while it holds the world
+// mutex.
+const maxChangeSetBody = 1 << 20
 
 // changeSetRequest is the POST /v1/changesets body.
 type changeSetRequest struct {
@@ -315,9 +322,13 @@ func (s *Server) replayDemandScales(w *experiment.World) {
 // execute-and-verify with ?execute=true.
 func (s *Server) handlePostChangeSet(w http.ResponseWriter, r *http.Request) {
 	var req changeSetRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxChangeSetBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "changeset body exceeds %d bytes", tooBig.Limit)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}

@@ -350,3 +350,23 @@ func TestDryRunDeterminism(t *testing.T) {
 		t.Fatal("response carries no apiVersion")
 	}
 }
+
+// TestChangeSetBodyLimit: a ChangeSet body over the 1 MiB bound is refused
+// with 413 and the uniform error document, and records nothing.
+func TestChangeSetBodyLimit(t *testing.T) {
+	s := newTestServer(t, core.Anycast{}, false)
+	body := `{"mutations":` + strings.Repeat(" ", maxChangeSetBody) + `[{"kind":"drain","site":"atl"}]}`
+	req := httptest.NewRequest("POST", "/v1/changesets", strings.NewReader(body))
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: %d %s, want 413", rec.Code, rec.Body.String())
+	}
+	var eb errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.APIVersion != api.Version || eb.Error == "" {
+		t.Fatalf("413 body %q is not the uniform error document (%v)", rec.Body.String(), err)
+	}
+	if len(s.sets) != 0 {
+		t.Fatalf("oversized body recorded %d changesets", len(s.sets))
+	}
+}

@@ -20,16 +20,31 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
+	"strconv"
 
+	"bestofboth/internal/canon"
 	"bestofboth/internal/dns"
 	"bestofboth/internal/experiment"
 	"bestofboth/pkg/bestofboth/api"
 )
 
-// sha256hex fingerprints a canonical-text digest for the wire.
-func sha256hex(s string) string {
-	sum := sha256.Sum256([]byte(s))
-	return hex.EncodeToString(sum[:])
+// hashOf fingerprints the canonical text an encoder streams, hashing it
+// chunk by chunk as it is written; the text is never materialized.
+func hashOf(encode func(io.Writer) error) string {
+	h := sha256.New()
+	_ = encode(h) // hash.Hash writes never return an error
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// digestsOf fingerprints a world's routing, forwarding and DNS state.
+func digestsOf(w *experiment.World) api.Digests {
+	auth := w.CDN.Authoritative()
+	return api.Digests{
+		RouteStateSHA256: hashOf(w.Net.WriteRouteState),
+		FIBSHA256:        hashOf(w.Plane.WriteFIB),
+		DNSZoneSHA256:    hashOf(func(h io.Writer) error { return writeZone(h, auth) }),
+	}
 }
 
 // StateOf derives the deterministic observable state of a deployed world:
@@ -69,11 +84,7 @@ func StateOf(w *experiment.World) api.WorldState {
 		st.Sites = append(st.Sites, ss)
 	}
 	st.Availability = availabilityOf(w)
-	st.Digests = api.Digests{
-		RouteStateSHA256: sha256hex(w.Net.RouteStateDigest()),
-		FIBSHA256:        sha256hex(w.Plane.FIBDigest()),
-		DNSZoneSHA256:    zoneHash(w.CDN.Authoritative()),
-	}
+	st.Digests = digestsOf(w)
 	return st
 }
 
@@ -104,19 +115,29 @@ func availabilityOf(w *experiment.World) api.Availability {
 	return av
 }
 
-// zoneHash fingerprints the authoritative zone: serial plus every record
-// set in DumpZone's canonical order.
-func zoneHash(auth *dns.Authoritative) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "origin %s serial %d\n", auth.Origin(), auth.Serial())
+// writeZone streams the authoritative zone's canonical text — serial plus
+// every record set in DumpZone's canonical order — to w.
+func writeZone(w io.Writer, auth *dns.Authoritative) error {
+	c := canon.NewWriter(w)
+	c.B = append(c.B, "origin "...)
+	c.B = append(c.B, auth.Origin()...)
+	c.B = append(c.B, " serial "...)
+	c.B = strconv.AppendUint(c.B, uint64(auth.Serial()), 10)
+	c.B = append(c.B, '\n')
 	for _, r := range auth.DumpZone() {
-		fmt.Fprintf(h, "%s %s %d", r.Name, r.Type, r.TTL)
+		c.B = append(c.B, r.Name...)
+		c.B = append(c.B, ' ')
+		c.B = append(c.B, r.Type...)
+		c.B = append(c.B, ' ')
+		c.B = strconv.AppendUint(c.B, uint64(r.TTL), 10)
 		for _, a := range r.Addrs {
-			fmt.Fprintf(h, " %s", a)
+			c.B = append(c.B, ' ')
+			c.B = a.AppendTo(c.B)
 		}
-		fmt.Fprintln(h)
+		c.B = append(c.B, '\n')
+		c.Spill()
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return c.Close()
 }
 
 // zoneDumpOf converts the zone into its wire form.

@@ -17,11 +17,13 @@ package dataplane
 
 import (
 	"fmt"
+	"io"
 	"net/netip"
-	"sort"
+	"strconv"
 	"strings"
 
 	"bestofboth/internal/bgp"
+	"bestofboth/internal/canon"
 	"bestofboth/internal/iptrie"
 	"bestofboth/internal/netsim"
 	"bestofboth/internal/obs"
@@ -331,49 +333,53 @@ func (p *Plane) Traceroute(src topology.NodeID, dst netip.Addr) ([]Hop, ForwardR
 	return hops, res
 }
 
-// FIBRecord is one forwarding entry as reported by DumpFIB.
-type FIBRecord struct {
-	Prefix netip.Prefix
-	Local  bool
-	Next   topology.NodeID // meaningful when !Local
-}
-
-// DumpFIB returns node's forwarding table sorted by prefix — a stable,
-// comparable view of data-plane state.
-func (p *Plane) DumpFIB(node topology.NodeID) []FIBRecord {
-	var out []FIBRecord
-	p.fibs[node].Walk(func(pfx netip.Prefix, e fibEntry) bool {
-		out = append(out, FIBRecord{Prefix: pfx, Local: e.local, Next: e.next})
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Prefix, out[j].Prefix
-		if c := a.Addr().Compare(b.Addr()); c != 0 {
-			return c < 0
-		}
-		return a.Bits() < b.Bits()
-	})
-	return out
-}
-
 // FIBDigest renders every node's forwarding table as canonical text.
 // Equal digests mean the two planes forward every packet identically;
 // regression tests compare them across fail→recover round trips.
+//
+// It is WriteFIB into a strings.Builder; callers that only need a
+// fingerprint should stream WriteFIB into a hash instead.
 func (p *Plane) FIBDigest() string {
 	var b strings.Builder
-	for id := range p.fibs {
-		recs := p.DumpFIB(topology.NodeID(id))
-		if len(recs) == 0 {
+	p.WriteFIB(&b) // a strings.Builder never fails
+	return b.String()
+}
+
+// WriteFIB streams the canonical text FIBDigest returns to w, in
+// canon.ChunkSize chunks, without materializing it: per node with a
+// non-empty FIB, a header line and one line per entry in (address,
+// length) order, which is the trie's walk order. It returns the first
+// write error.
+func (p *Plane) WriteFIB(w io.Writer) error {
+	c := canon.NewWriter(w)
+	emit := func(pfx netip.Prefix, e fibEntry) bool {
+		c.B = appendFIBEntry(c.B, pfx, e)
+		c.Spill()
+		return true
+	}
+	for id, fib := range p.fibs {
+		if fib.Len() == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "node %d\n", id)
-		for _, r := range recs {
-			if r.Local {
-				fmt.Fprintf(&b, "  %s local\n", r.Prefix)
-			} else {
-				fmt.Fprintf(&b, "  %s via %d\n", r.Prefix, r.Next)
-			}
-		}
+		c.B = append(c.B, "node "...)
+		c.B = strconv.AppendInt(c.B, int64(id), 10)
+		c.B = append(c.B, '\n')
+		fib.Walk(emit)
 	}
-	return b.String()
+	return c.Close()
+}
+
+// appendFIBEntry appends one FIB line: the prefix, then "local" or the
+// next-hop node.
+//
+//cdnlint:allocfree
+func appendFIBEntry(b []byte, pfx netip.Prefix, e fibEntry) []byte {
+	b = append(b, "  "...)
+	b = pfx.AppendTo(b)
+	if e.local {
+		return append(b, " local\n"...)
+	}
+	b = append(b, " via "...)
+	b = strconv.AppendInt(b, int64(e.next), 10)
+	return append(b, '\n')
 }

@@ -21,7 +21,6 @@ package iptrie
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 )
 
 // Trie maps IP prefixes to values of type V with longest-prefix-match
@@ -203,26 +202,29 @@ func (t *Trie[V]) Lookup(addr netip.Addr) (netip.Prefix, V, bool) {
 }
 
 // Walk visits every stored prefix/value pair, IPv4 entries first, each
-// family in ascending (address, length) order. If fn returns false, the
-// walk stops.
+// family in ascending (address, length) order — the pre-order of the trie,
+// since a prefix's address is its zero-padded path and a child extends its
+// parent's path. If fn returns false, the walk stops. Walk itself does not
+// allocate.
 func (t *Trie[V]) Walk(fn func(p netip.Prefix, val V) bool) {
-	if !t.walkFamily(root4, make([]byte, 4), 0, 32, fn, makePrefix4) {
+	var bits [16]byte
+	if !t.walkFamily(root4, &bits, 0, 32, fn) {
 		return
 	}
-	t.walkFamily(root6, make([]byte, 16), 0, 128, fn, makePrefix6)
+	t.walkFamily(root6, &bits, 0, 128, fn)
 }
 
-func makePrefix4(b []byte, depth int) netip.Prefix {
-	return netip.PrefixFrom(netip.AddrFrom4([4]byte(b)), depth)
-}
-
-func makePrefix6(b []byte, depth int) netip.Prefix {
-	return netip.PrefixFrom(netip.AddrFrom16([16]byte(b)), depth)
-}
-
-func (t *Trie[V]) walkFamily(n int32, bits []byte, depth, max int, fn func(netip.Prefix, V) bool, mk func([]byte, int) netip.Prefix) bool {
+// walkFamily walks the subtree at n, whose path so far is the first depth
+// bits of bits (the rest zero). max is the family's address length.
+func (t *Trie[V]) walkFamily(n int32, bits *[16]byte, depth, max int, fn func(netip.Prefix, V) bool) bool {
 	if t.nodes[n].set {
-		if !fn(mk(bits, depth), t.nodes[n].val) {
+		var addr netip.Addr
+		if max == 32 {
+			addr = netip.AddrFrom4([4]byte(bits[:4]))
+		} else {
+			addr = netip.AddrFrom16(*bits)
+		}
+		if !fn(netip.PrefixFrom(addr, depth), t.nodes[n].val) {
 			return false
 		}
 	}
@@ -230,13 +232,13 @@ func (t *Trie[V]) walkFamily(n int32, bits []byte, depth, max int, fn func(netip
 		return true
 	}
 	if c := t.nodes[n].child[0]; c != 0 {
-		if !t.walkFamily(c, bits, depth+1, max, fn, mk) {
+		if !t.walkFamily(c, bits, depth+1, max, fn) {
 			return false
 		}
 	}
 	if c := t.nodes[n].child[1]; c != 0 {
 		bits[depth/8] |= 1 << (7 - depth%8)
-		ok := t.walkFamily(c, bits, depth+1, max, fn, mk)
+		ok := t.walkFamily(c, bits, depth+1, max, fn)
 		bits[depth/8] &^= 1 << (7 - depth%8)
 		if !ok {
 			return false
@@ -245,19 +247,13 @@ func (t *Trie[V]) walkFamily(n int32, bits []byte, depth, max int, fn func(netip
 	return true
 }
 
-// Prefixes returns all stored prefixes sorted by address then length
-// (IPv4 before IPv6 per netip ordering).
+// Prefixes returns all stored prefixes in Walk order: sorted by address
+// then length, IPv4 before IPv6 per netip ordering.
 func (t *Trie[V]) Prefixes() []netip.Prefix {
 	out := make([]netip.Prefix, 0, t.size)
 	t.Walk(func(p netip.Prefix, _ V) bool {
 		out = append(out, p)
 		return true
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if c := out[i].Addr().Compare(out[j].Addr()); c != 0 {
-			return c < 0
-		}
-		return out[i].Bits() < out[j].Bits()
 	})
 	return out
 }

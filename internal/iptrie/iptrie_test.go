@@ -341,3 +341,62 @@ func BenchmarkLookup(b *testing.B) {
 		tr.Lookup(addrs[i%len(addrs)])
 	}
 }
+
+// Property: Walk yields every stored prefix exactly once, IPv4 before IPv6
+// and each family in strictly ascending (address, length) order. FIB
+// digests stream tables in Walk order without re-sorting, so this order is
+// part of their byte format. Prefixes are cut from a few shared addresses
+// in both families so that nesting (a prefix and its more-specifics) is
+// common.
+func TestWalkOrderProperty(t *testing.T) {
+	r := rand.New(rand.NewSource(44))
+	for round := 0; round < 200; round++ {
+		var bases []netip.Addr
+		for i := 0; i < 3; i++ {
+			var b [16]byte
+			r.Read(b[:])
+			bases = append(bases, netip.AddrFrom4([4]byte(b[:4])), netip.AddrFrom16(b))
+		}
+		tr := New[int]()
+		stored := map[netip.Prefix]bool{}
+		for i := 0; i < 1+r.Intn(40); i++ {
+			a := bases[r.Intn(len(bases))]
+			p := netip.PrefixFrom(a, r.Intn(a.BitLen()+1)).Masked()
+			tr.Insert(p, i)
+			stored[p] = true
+		}
+		var got []netip.Prefix
+		tr.Walk(func(p netip.Prefix, _ int) bool {
+			got = append(got, p)
+			return true
+		})
+		if len(got) != len(stored) {
+			t.Fatalf("round %d: Walk visited %d prefixes, %d stored", round, len(got), len(stored))
+		}
+		for i, p := range got {
+			if !stored[p] {
+				t.Fatalf("round %d: Walk yielded %v, never stored", round, p)
+			}
+			if i == 0 {
+				continue
+			}
+			prev := got[i-1]
+			if c := prev.Addr().Compare(p.Addr()); c > 0 || (c == 0 && prev.Bits() >= p.Bits()) {
+				t.Fatalf("round %d: Walk yielded %v before %v", round, prev, p)
+			}
+		}
+	}
+}
+
+// Walk must not allocate: FIB digests walk every table of every node.
+func TestWalkZeroAllocs(t *testing.T) {
+	tr := New[int]()
+	for i, s := range []string{"10.0.0.0/8", "10.1.0.0/16", "2001:db8::/32"} {
+		tr.Insert(mustPrefix(t, s), i)
+	}
+	n := 0
+	visit := func(netip.Prefix, int) bool { n++; return true }
+	if avg := testing.AllocsPerRun(100, func() { tr.Walk(visit) }); avg != 0 {
+		t.Fatalf("Walk allocated %.1f times per call; want 0", avg)
+	}
+}
