@@ -11,6 +11,7 @@ package bestofboth_test
 
 import (
 	"fmt"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -499,7 +500,10 @@ func BenchmarkBGPConvergence(b *testing.B) {
 }
 
 // BenchmarkDataplaneForward measures FIB-walk forwarding over a converged
-// network.
+// network whose FIBs hold a deployment's worth of nested prefixes: the
+// covering superprefix and anycast /24 from every site, and each site's
+// own /24. Walks alternate between site and anycast service addresses
+// from every stub.
 func BenchmarkDataplaneForward(b *testing.B) {
 	topo, err := topology.Generate(topology.GenConfig{Seed: 9})
 	if err != nil {
@@ -508,15 +512,22 @@ func BenchmarkDataplaneForward(b *testing.B) {
 	sim := netsim.New(1)
 	net := bgp.New(sim, topo, bgp.DefaultConfig())
 	plane := dataplane.New(net)
-	site := topo.NodeByName("cdn-atl")
-	prefix := core.SitePrefix(3)
-	net.Originate(site.ID, prefix, nil)
+	addrs := []netip.Addr{core.AnycastServiceAddr}
+	for i, code := range topology.DefaultSiteCodes {
+		site := topo.NodeByName("cdn-" + code)
+		for _, p := range []netip.Prefix{core.SuperPrefix, core.AnycastPrefix, core.SitePrefix(i)} {
+			if err := net.Originate(site.ID, p, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		addrs = append(addrs, core.ServiceAddr(core.SitePrefix(i)))
+	}
 	sim.Run()
-	addr := core.ServiceAddr(prefix)
 	targets := topo.NodesOfClass(topology.ClassStub)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plane.Forward(targets[i%len(targets)].ID, addr)
+		plane.Forward(targets[i%len(targets)].ID, addrs[i%len(addrs)])
 	}
 }
 

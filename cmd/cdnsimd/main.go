@@ -1,6 +1,8 @@
 // Command cdnsimd is the simulator's long-running control-plane daemon:
 // it builds one deployed world, converges it, and serves the versioned
-// HTTP/JSON API (pkg/bestofboth/api) over it until killed.
+// HTTP/JSON API (pkg/bestofboth/api) over it until it receives SIGTERM or
+// an interrupt. It then stops accepting connections, lets in-flight
+// requests finish for up to shutdownTimeout, and exits 0.
 //
 // State is read through GET endpoints (/v1/state, /v1/digests, /v1/dns,
 // /v1/load, /v1/catchments) and mutated exclusively through ChangeSets
@@ -19,12 +21,16 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"strconv"
+	"syscall"
 	"time"
 
 	"bestofboth/internal/core"
@@ -32,6 +38,10 @@ import (
 	"bestofboth/internal/experiment"
 	"bestofboth/internal/obs"
 )
+
+// shutdownTimeout bounds how long a graceful shutdown waits for in-flight
+// requests (a ChangeSet settle among them) before giving up.
+const shutdownTimeout = 30 * time.Second
 
 func main() {
 	var (
@@ -130,7 +140,27 @@ func run(tech string, seed int64, scale string, shards int, partition string, de
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       time.Minute,
 	}
-	return hs.Serve(ln)
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
+	defer stop()
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	stop() // a second signal terminates at once
+	fmt.Fprintln(os.Stderr, "cdnsimd: shutting down")
+	sctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+	defer cancel()
+	if err := hs.Shutdown(sctx); err != nil {
+		hs.Close()
+		return fmt.Errorf("shutdown: %w", err)
+	}
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return nil
 }
 
 // sabotageHook is the standard -test-sabotage divergence: silently stop

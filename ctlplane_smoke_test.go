@@ -7,7 +7,8 @@ package bestofboth_test
 // tentpole's promise — the dry run's predicted per-site load deltas are
 // exactly what execution produces (pass receipt, bit-identical digests),
 // and a sabotaged execution yields a fail receipt naming the diverging
-// fields.
+// fields. Finally SIGTERM must shut the daemon down cleanly, with exit
+// status 0.
 
 import (
 	"bufio"
@@ -19,6 +20,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -166,6 +168,25 @@ func TestCtlplaneSmoke(t *testing.T) {
 	want := []string{api.StatusDryRun, api.StatusExecuted, api.StatusDiverged}
 	if !reflect.DeepEqual(statuses, want) {
 		t.Fatalf("changeset statuses %v, want %v", statuses, want)
+	}
+
+	// Graceful shutdown: SIGTERM drains the server and exits 0.
+	exited := make(chan error, 1)
+	go func() { exited <- daemon.Wait() }()
+	if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Fatalf("daemon exit after SIGTERM: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("daemon still running 30 s after SIGTERM")
+	}
+	if resp, err := http.Get(base + "/healthz"); err == nil {
+		resp.Body.Close()
+		t.Fatal("daemon still serving after a clean exit")
 	}
 }
 

@@ -2,7 +2,8 @@
 // the BGP layer.
 //
 // Every node keeps a longest-prefix-match FIB that tracks its BGP loc-RIB
-// in real time. Packets are forwarded hop by hop through these FIBs, so a
+// in real time; the FIBs of one world share a single flat table (see
+// Plane). Packets are forwarded hop by hop through these FIBs, so a
 // packet in flight during route convergence experiences exactly the
 // pathologies the paper measures: blackholes at routers whose best route was
 // withdrawn, transient forwarding loops during path exploration, and
@@ -19,12 +20,12 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"strconv"
 	"strings"
 
 	"bestofboth/internal/bgp"
 	"bestofboth/internal/canon"
-	"bestofboth/internal/iptrie"
 	"bestofboth/internal/netsim"
 	"bestofboth/internal/obs"
 	"bestofboth/internal/topology"
@@ -33,8 +34,14 @@ import (
 // MaxHops bounds forwarding walks, standing in for the IP TTL.
 const MaxHops = 64
 
-// fibEntry is one FIB slot: either local delivery or a next hop.
+// maxMatches bounds the prefixes one address can match: at most one per
+// prefix length, 0 through 128.
+const maxMatches = 129
+
+// fibEntry is one FIB slot: either local delivery or a next hop. A slot
+// without set holds no route.
 type fibEntry struct {
+	set   bool
 	local bool
 	next  topology.NodeID
 	delay float64 // one-way link delay to next, seconds
@@ -88,12 +95,40 @@ type ForwardResult struct {
 
 // Plane is the data plane bound to a BGP network. Create it before any
 // routes are originated so no FIB updates are missed.
+//
+// All nodes' FIBs live in one flat table. Each prefix gets a small integer
+// id the first time a best route for it appears anywhere, and with it a
+// column: a pointer-free []fibEntry indexed by node, which the garbage
+// collector never scans. A best-route change is one map lookup plus one
+// slot write, and a restore allocates per prefix, not per AS. Forwarding
+// matches the destination against the prefixes once per walk, longest
+// first, and each hop takes the first set slot at the current node, which
+// is the longest-prefix match of that node's FIB.
+//
+// Shard safety: registering a prefix (growing ids, pfxs, cols and the two
+// orders) is the only write to state that nodes share. A prefix's first
+// best route always appears at an originator, inside bgp.Network.Originate
+// or the bgp.Network.Restore replay, and both run on the control goroutine
+// while every shard is parked at a barrier (netsim.ShardRunner bounds
+// every round by the next control event). Every later best-route change
+// writes only its own node's slot of an existing column, so shards running
+// concurrently never write the same memory.
 type Plane struct {
 	net  *bgp.Network
 	topo *topology.Topology
 	sim  *netsim.Sim
-	fibs []*iptrie.Trie[fibEntry]
 	down []bool
+
+	// ids maps every prefix seen (as BGP carries it) to its column;
+	// pfxs[id] is the masked prefix and cols[id][node] the node's slot.
+	ids  map[netip.Prefix]int32
+	pfxs []netip.Prefix
+	cols [][]fibEntry
+	// byLen holds the ids in decreasing prefix length (longest-prefix
+	// match); walk holds them in (address, length) order, IPv4 first
+	// (WriteFIB).
+	byLen []int32
+	walk  []int32
 
 	// static shortest-path delay cache per source node (seconds).
 	staticDelay map[topology.NodeID][]float64
@@ -115,12 +150,9 @@ func New(net *bgp.Network) *Plane {
 		net:         net,
 		topo:        topo,
 		sim:         net.Sim(),
-		fibs:        make([]*iptrie.Trie[fibEntry], topo.Len()),
 		down:        make([]bool, topo.Len()),
+		ids:         make(map[netip.Prefix]int32),
 		staticDelay: make(map[topology.NodeID][]float64),
-	}
-	for i := range p.fibs {
-		p.fibs[i] = iptrie.New[fibEntry]()
 	}
 	net.OnBestChange(p.onBestChange)
 	return p
@@ -140,18 +172,66 @@ func (p *Plane) Instrument(r *obs.Registry) {
 
 func (p *Plane) onBestChange(node topology.NodeID, prefix netip.Prefix, route *bgp.Route) {
 	p.m.updates.Inc()
-	fib := p.fibs[node]
+	id, ok := p.ids[prefix]
+	if !ok {
+		if route == nil || !prefix.IsValid() {
+			return
+		}
+		id = p.register(prefix)
+	}
+	slot := &p.cols[id][node]
 	if route == nil {
-		fib.Delete(prefix)
+		*slot = fibEntry{}
 		return
 	}
 	sess := route.LearnedFrom()
 	if sess < 0 {
-		fib.Insert(prefix, fibEntry{local: true})
+		*slot = fibEntry{set: true, local: true}
 		return
 	}
 	adj := p.topo.Node(node).Adj[sess]
-	fib.Insert(prefix, fibEntry{next: adj.To, delay: adj.Delay})
+	*slot = fibEntry{set: true, next: adj.To, delay: adj.Delay}
+}
+
+// register gives prefix a column and returns its id. A prefix that masks
+// to an already registered one shares its column: the FIB holds masked
+// prefixes only.
+//
+// It runs only when a prefix's first best route appears, which is at an
+// originator inside bgp.Network.Originate or the bgp.Network.Restore
+// replay: on the control goroutine, between shard rounds (see Plane).
+//
+//cdnlint:barrieronly
+func (p *Plane) register(prefix netip.Prefix) int32 {
+	masked := prefix.Masked()
+	if id, ok := p.ids[masked]; ok {
+		p.ids[prefix] = id
+		return id
+	}
+	id := int32(len(p.pfxs))
+	p.ids[masked] = id
+	p.ids[prefix] = id
+	p.pfxs = append(p.pfxs, masked)
+	p.cols = append(p.cols, make([]fibEntry, p.topo.Len()))
+	i, _ := slices.BinarySearchFunc(p.byLen, masked.Bits(), func(e int32, bits int) int {
+		return bits - p.pfxs[e].Bits() // decreasing length
+	})
+	p.byLen = slices.Insert(p.byLen, i, id)
+	i, _ = slices.BinarySearchFunc(p.walk, masked, func(e int32, q netip.Prefix) int {
+		return compareWalk(p.pfxs[e], q)
+	})
+	p.walk = slices.Insert(p.walk, i, id)
+	return id
+}
+
+// compareWalk orders prefixes by address, IPv4 before IPv6, then by
+// length: the pre-order of a binary trie. netip.Prefix.Compare orders by
+// length first, so it cannot be used here.
+func compareWalk(a, b netip.Prefix) int {
+	if c := a.Addr().Compare(b.Addr()); c != 0 {
+		return c
+	}
+	return a.Bits() - b.Bits()
 }
 
 // SetDown marks a node as failed (true) or healthy (false). Packets
@@ -181,6 +261,10 @@ func (p *Plane) forward(src topology.NodeID, dst netip.Addr, path []topology.Nod
 	p.m.forwards.Inc()
 	record := path != nil
 	res := ForwardResult{Path: path}
+	// The prefixes covering dst, longest first: every hop's lookup is the
+	// first of them with a route at that hop.
+	var match [maxMatches]int32
+	matched := p.matches(dst, &match)
 	cur := src
 	for hops := 0; hops <= MaxHops; hops++ {
 		if record {
@@ -192,7 +276,7 @@ func (p *Plane) forward(src topology.NodeID, dst netip.Addr, path []topology.Nod
 			return res
 		}
 		p.m.lookups.Inc()
-		_, entry, ok := p.fibs[cur].Lookup(dst)
+		entry, ok := p.lookup(cur, matched)
 		if !ok {
 			res.Reason = DropNoRoute
 			p.m.dropped.Inc()
@@ -210,6 +294,37 @@ func (p *Plane) forward(src topology.NodeID, dst netip.Addr, path []topology.Nod
 	res.Reason = DropLoop
 	p.m.dropped.Inc()
 	return res
+}
+
+// matches fills buf with the ids of the prefixes containing dst, longest
+// first, and returns them. Like a trie, it ignores dst's zone and never
+// matches across address families (an IPv4-mapped IPv6 address matches
+// only IPv6 prefixes).
+//
+//cdnlint:allocfree
+func (p *Plane) matches(dst netip.Addr, buf *[maxMatches]int32) []int32 {
+	dst = dst.WithZone("")
+	n := 0
+	for _, id := range p.byLen {
+		if p.pfxs[id].Contains(dst) {
+			buf[n] = id
+			n++
+		}
+	}
+	return buf[:n]
+}
+
+// lookup returns node's entry for the longest of the matched prefixes it
+// has a route for.
+//
+//cdnlint:allocfree
+func (p *Plane) lookup(node topology.NodeID, matched []int32) (fibEntry, bool) {
+	for _, id := range matched {
+		if e := p.cols[id][node]; e.set {
+			return e, true
+		}
+	}
+	return fibEntry{}, false
 }
 
 // Catchment returns the site/origin node that currently attracts traffic
@@ -348,23 +463,25 @@ func (p *Plane) FIBDigest() string {
 // WriteFIB streams the canonical text FIBDigest returns to w, in
 // canon.ChunkSize chunks, without materializing it: per node with a
 // non-empty FIB, a header line and one line per entry in (address,
-// length) order, which is the trie's walk order. It returns the first
-// write error.
+// length) order, IPv4 first. It returns the first write error.
 func (p *Plane) WriteFIB(w io.Writer) error {
 	c := canon.NewWriter(w)
-	emit := func(pfx netip.Prefix, e fibEntry) bool {
-		c.B = appendFIBEntry(c.B, pfx, e)
-		c.Spill()
-		return true
-	}
-	for id, fib := range p.fibs {
-		if fib.Len() == 0 {
-			continue
+	for node := range p.topo.Len() {
+		header := false
+		for _, id := range p.walk {
+			e := p.cols[id][node]
+			if !e.set {
+				continue
+			}
+			if !header {
+				c.B = append(c.B, "node "...)
+				c.B = strconv.AppendInt(c.B, int64(node), 10)
+				c.B = append(c.B, '\n')
+				header = true
+			}
+			c.B = appendFIBEntry(c.B, p.pfxs[id], e)
+			c.Spill()
 		}
-		c.B = append(c.B, "node "...)
-		c.B = strconv.AppendInt(c.B, int64(id), 10)
-		c.B = append(c.B, '\n')
-		fib.Walk(emit)
 	}
 	return c.Close()
 }

@@ -1,5 +1,5 @@
 package dataplane
 
-// CheckFIBEncoder exposes the byte-identity oracle to the external test
-// package, which builds whole worlds through the experiment layer.
-var CheckFIBEncoder = checkFIBEncoder
+// CheckFIB exposes the reference-FIB oracle to the external test package,
+// which builds whole worlds through the experiment layer.
+var CheckFIB = checkFIB

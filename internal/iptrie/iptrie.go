@@ -1,21 +1,21 @@
 // Package iptrie implements a longest-prefix-match binary trie over IP
 // prefixes, IPv4 and IPv6.
 //
-// The trie backs every FIB in the simulator as well as the route collectors'
-// prefix indexes. It is a plain binary (path-uncompressed) trie per address
-// family: prefixes are at most 32/128 bits deep, insertions in the simulator
-// cluster on a handful of short prefixes, and lookups walk at most one node
-// per bit, so the constant factors are small and the implementation stays
-// obviously correct. The paper's techniques use per-site /24s; they apply
+// The trie backs the CDN's client mappings in internal/core (which client
+// network an address belongs to), and the data-plane tests use it as the
+// reference longest-prefix match for internal/dataplane's flat FIB, which
+// keeps one table per world instead of a trie per AS. It is a plain binary
+// (path-uncompressed) trie per address family: prefixes are at most
+// 32/128 bits deep and lookups walk at most one node per bit, so the
+// constant factors are small and the implementation stays obviously
+// correct. The paper's techniques use per-site /24s; they apply
 // identically to per-site /48s (§4), which is why both families are
 // first-class here.
 //
 // Nodes live in one contiguous slab per trie and link by int32 index rather
-// than pointer. The simulator rebuilds thousands of FIBs every time a
-// converged world is restored, so this matters twice over: inserting a
-// prefix costs amortized slice growth instead of one allocation per trie
-// node, and (for pointer-free value types, like FIB entries) the garbage
-// collector never scans the node slab at all.
+// than pointer: inserting a prefix costs amortized slice growth instead of
+// one allocation per trie node, and for pointer-free value types the
+// garbage collector never scans the node slab at all.
 package iptrie
 
 import (

@@ -170,3 +170,112 @@ func TestTimerFires(t *testing.T) {
 		t.Fatal("timer did not fire")
 	}
 }
+
+// TestCalendarMinCacheMatchesReference drives the queue directly with a
+// randomized interleaving of pushes, peeks and pops and checks every peek
+// and pop against the minimum of a reference multiset ordered by (at,
+// seq). The schedule is built to stress the cached active-slot minimum:
+// pushes right at the clock, pushes below the cached minimum of the active
+// slot, pushes tying an already pending timestamp, and pushes far enough
+// out to force rebases.
+func TestCalendarMinCacheMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	q := newEventQueue()
+	var (
+		pending            []event
+		seq                uint64
+		now                Seconds
+		belowMin, tiesSeen int
+	)
+	refMin := func() int {
+		m := 0
+		for i := 1; i < len(pending); i++ {
+			if eventLess(&pending[i], &pending[m]) {
+				m = i
+			}
+		}
+		return m
+	}
+	push := func(at Seconds) {
+		seq++
+		e := event{at: at, seq: seq}
+		idx := int((at - q.base) * calInvWidth)
+		if at < q.limit && idx <= q.cur && q.curMin >= 0 && eventLess(&e, &q.near[q.cur][q.curMin]) {
+			belowMin++
+		}
+		for i := range pending {
+			if pending[i].at == at {
+				tiesSeen++
+				break
+			}
+		}
+		q.push(e)
+		pending = append(pending, e)
+	}
+	check := func(step int, got event, op string) {
+		t.Helper()
+		want := pending[refMin()]
+		if got.at != want.at || got.seq != want.seq {
+			t.Fatalf("step %d %s: got {at=%v seq=%d}, want {at=%v seq=%d}", step, op, got.at, got.seq, want.at, want.seq)
+		}
+	}
+	for step := 0; step < 100000; step++ {
+		r := rng.Intn(10)
+		if len(pending) > 400 {
+			r = 9
+		}
+		switch {
+		case r < 5:
+			switch rng.Intn(5) {
+			case 0:
+				push(now)
+			case 1:
+				// Quantized near-future times: many land in the active slot,
+				// below its cached minimum, or on each other.
+				push(now + Seconds(rng.Intn(8))/128)
+			case 2:
+				if len(pending) > 0 {
+					push(pending[rng.Intn(len(pending))].at)
+				} else {
+					push(now)
+				}
+			case 3:
+				push(now + rng.Float64()*8)
+			default:
+				push(now + 60 + rng.Float64()*200)
+			}
+		case r < 7:
+			at, ok := q.peekAt()
+			if ok != (len(pending) > 0) {
+				t.Fatalf("step %d: peekAt ok=%v with %d pending", step, ok, len(pending))
+			}
+			if ok {
+				check(step, event{at: at, seq: pending[refMin()].seq}, "peek")
+			}
+		default:
+			if len(pending) == 0 {
+				continue
+			}
+			if rng.Intn(2) == 0 {
+				q.peekAt() // the RunUntil pattern: peek, then pop
+			}
+			e := q.pop()
+			check(step, e, "pop")
+			m := refMin()
+			pending = append(pending[:m], pending[m+1:]...)
+			now = e.at
+		}
+		if q.len() != len(pending) {
+			t.Fatalf("step %d: queue holds %d events, reference %d", step, q.len(), len(pending))
+		}
+	}
+	for len(pending) > 0 {
+		check(-1, q.pop(), "drain")
+		m := refMin()
+		pending = append(pending[:m], pending[m+1:]...)
+	}
+	if belowMin < 100 || tiesSeen < 100 {
+		t.Fatalf("schedule too tame: %d pushes below the cached minimum, %d timestamp ties", belowMin, tiesSeen)
+	}
+	t.Logf("%d pushes below the cached minimum, %d timestamp ties", belowMin, tiesSeen)
+}

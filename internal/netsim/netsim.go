@@ -71,6 +71,13 @@ const (
 // before consulting far. Within the active slot the minimum is found by a
 // linear scan with the exact (at, seq) comparator, so the execution order is
 // bit-identical to the old global binary heap.
+//
+// The scan's result is cached in curMin, so the peekAt→pop pair every
+// RunUntil step makes scans the slot once. A push into the active slot
+// updates the cache in O(1); a pop, a slot advance and a rebase
+// invalidate it. The slot stays unordered: heap-ordering it was measured
+// slower, because sifting the pointer-carrying events costs more in
+// moves and write barriers than the scan it saves.
 type eventQueue struct {
 	near  [][]event //cdnlint:nosnapshot snapshots require an empty queue; pending events hold closures over model state
 	cur   int       //cdnlint:nosnapshot calendar position; meaningless while the queue is empty
@@ -78,6 +85,9 @@ type eventQueue struct {
 	limit Seconds   //cdnlint:nosnapshot any value is valid: late pushes spill to far and settle rebases
 	nearN int
 	far   farHeap
+	// curMin is the index of the earliest event in near[cur], or -1 when
+	// unknown.
+	curMin int //cdnlint:nosnapshot scan cache over pending events; -1 whenever the queue is empty
 }
 
 func newEventQueue() eventQueue {
@@ -90,10 +100,11 @@ func newEventQueue() eventQueue {
 		near[i] = backing[i*calSlotCap : i*calSlotCap : (i+1)*calSlotCap]
 	}
 	return eventQueue{
-		near:  near,
-		base:  0,
-		limit: calHorizon,
-		far:   make(farHeap, 0, farHeapCap),
+		near:   near,
+		base:   0,
+		limit:  calHorizon,
+		far:    make(farHeap, 0, farHeapCap),
+		curMin: -1,
 	}
 }
 
@@ -115,6 +126,9 @@ func (q *eventQueue) push(e event) {
 	if idx >= calSlots {
 		idx = calSlots - 1
 	}
+	if idx == q.cur && q.curMin >= 0 && eventLess(&e, &q.near[idx][q.curMin]) {
+		q.curMin = len(q.near[idx])
+	}
 	q.near[idx] = append(q.near[idx], e)
 	q.nearN++
 }
@@ -130,6 +144,7 @@ func (q *eventQueue) settle() bool {
 		// Rebase: restart the calendar window at the earliest far event and
 		// migrate everything inside the new window down into the buckets.
 		q.cur = 0
+		q.curMin = -1
 		q.base = q.far[0].at
 		q.limit = q.base + calHorizon
 		for len(q.far) > 0 && q.far[0].at < q.limit {
@@ -145,19 +160,30 @@ func (q *eventQueue) settle() bool {
 	}
 	for len(q.near[q.cur]) == 0 {
 		q.cur++
+		q.curMin = -1
 	}
 	return true
 }
 
-// minIdx returns the index of the earliest event in the active slot.
+// eventLess is the queue's total order: time, then sequence number.
+func eventLess(a, b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// minIdx returns the index of the earliest event in the active slot,
+// scanning it only when the cache is unknown.
 func (q *eventQueue) minIdx() int {
+	if q.curMin >= 0 {
+		return q.curMin
+	}
 	slot := q.near[q.cur]
 	m := 0
 	for i := 1; i < len(slot); i++ {
-		if slot[i].at < slot[m].at || (slot[i].at == slot[m].at && slot[i].seq < slot[m].seq) {
+		if eventLess(&slot[i], &slot[m]) {
 			m = i
 		}
 	}
+	q.curMin = m
 	return m
 }
 
@@ -179,6 +205,7 @@ func (q *eventQueue) pop() event {
 	slot[last] = event{} // release callbacks for GC
 	q.near[q.cur] = slot[:last]
 	q.nearN--
+	q.curMin = -1
 	return e
 }
 
