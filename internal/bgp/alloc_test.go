@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"bestofboth/internal/netsim"
+	"bestofboth/internal/obs"
 	"bestofboth/internal/topology"
 )
 
@@ -149,5 +150,83 @@ func TestRestoreAllocBudget(t *testing.T) {
 				t.Fatalf("node %d prefix %s: restored best %p is not the shared snapshot route %p", id, p, b, a)
 			}
 		}
+	}
+}
+
+// originatedSnapshot converges the diamond with n /24s originated round-
+// robin across its four nodes and snapshots it.
+func originatedSnapshot(t *testing.T, n int) *NetworkSnapshot {
+	t.Helper()
+	sim := netsim.New(5)
+	net := New(sim, diamond(t), quickCfg())
+	for i := 0; i < n; i++ {
+		p := netip.MustParsePrefix(fmt.Sprintf("10.%d.%d.0/24", i/256, i%256))
+		if err := net.Originate(topology.NodeID(i%4), p, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sim.Run()
+	snap, err := net.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// TestRestoreAllocsIndependentOfPrefixes pins restore at O(touched): a
+// no-divergence Restore reads the snapshot's frozen states in place, so it
+// makes the same number of allocations whether the snapshot holds 16 or 64
+// prefixes on the same topology.
+func TestRestoreAllocsIndependentOfPrefixes(t *testing.T) {
+	const runs = 8
+	restoreAllocs := func(n int) float64 {
+		snap := originatedSnapshot(t, n)
+		nets := make([]*Network, runs+1) // AllocsPerRun adds one warm-up call
+		for i := range nets {
+			nets[i] = New(netsim.New(5), diamond(t), quickCfg())
+		}
+		next := 0
+		return testing.AllocsPerRun(runs, func() {
+			if err := nets[next].Restore(snap); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+	}
+	small, large := restoreAllocs(16), restoreAllocs(64)
+	if small != large {
+		t.Fatalf("Restore made %.0f allocations for 16 prefixes and %.0f for 64: restore cost grows with the RIB", small, large)
+	}
+}
+
+// TestReceiveCopiesOnePair pins copy-on-first-write at pair granularity:
+// one UPDATE received by a restored speaker copies exactly the one
+// (speaker, prefix) pair it writes, however many prefixes the speaker
+// holds, and a second UPDATE for the same pair copies nothing more.
+func TestReceiveCopiesOnePair(t *testing.T) {
+	snap := originatedSnapshot(t, 16)
+	net := New(netsim.New(5), diamond(t), quickCfg())
+	if err := net.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	net.Instrument(reg)
+	copied := reg.Counter("bgp_prefix_states_copied_total")
+
+	tt := net.Speaker(0)
+	if len(tt.KnownPrefixes()) != 16 {
+		t.Fatalf("T knows %d prefixes, want 16", len(tt.KnownPrefixes()))
+	}
+	p := tt.KnownPrefixes()[5]
+	tt.receive(0, Update{Type: Withdraw, Prefix: p})
+	if got := copied.Value(); got != 1 {
+		t.Fatalf("one received UPDATE copied %d pairs, want 1", got)
+	}
+	if len(tt.prefixes) != 1 || tt.prefixes[p] == nil {
+		t.Fatalf("T owns %d pairs after one UPDATE, want only %s", len(tt.prefixes), p)
+	}
+	tt.receive(1, Update{Type: Withdraw, Prefix: p})
+	if got := copied.Value(); got != 1 {
+		t.Fatalf("a second UPDATE for an owned pair copied again: %d copies", got)
 	}
 }

@@ -253,6 +253,7 @@ type Network struct {
 		dampFlaps    *obs.Counter
 		dampSupp     *obs.Counter
 		prefixStates *obs.Counter
+		prefixCopies *obs.Counter
 		adjIn        *obs.Gauge
 		xshard       *obs.Counter
 		xfeed        *obs.Counter
@@ -286,7 +287,8 @@ func build(sim *netsim.Sim, topo *topology.Topology, cfg Config, shards []*shard
 
 // Instrument attaches protocol metrics to r: UPDATEs sent (split into
 // announcements and withdrawals) and received, damping flaps and
-// suppressions, per-prefix RIB state allocations, and the aggregate
+// suppressions, per-prefix RIB state allocations and first-write copies
+// of a restored snapshot's frozen states, and the aggregate
 // adj-RIB-in occupancy across all speakers. Instrumentation is pure
 // counting — no randomness, no scheduling — so instrumented runs stay
 // bit-identical to bare ones. A nil registry detaches.
@@ -298,6 +300,7 @@ func (n *Network) Instrument(r *obs.Registry) {
 	n.m.dampFlaps = r.Counter("bgp_damping_flaps_total")
 	n.m.dampSupp = r.Counter("bgp_damping_suppressions_total")
 	n.m.prefixStates = r.Counter("bgp_prefix_states_total")
+	n.m.prefixCopies = r.Counter("bgp_prefix_states_copied_total")
 	n.m.adjIn = r.Gauge("bgp_adj_rib_in_entries")
 	if len(n.shards) > 1 {
 		// Inter-shard traffic volume, plus each shard kernel's own event

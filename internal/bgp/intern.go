@@ -15,9 +15,17 @@ import (
 // recognized by the compiler and does not allocate, so interning an
 // already-known path is allocation-free. The table is per-shard and each
 // shard runs single-threaded (one Sim), so no locking is needed.
+//
+// A restored network's shards also hold base, the table its snapshot built
+// from the snapshot's adj-RIB-out paths (see snapshotPaths). base is shared
+// read-only by every shard of every world restored from that snapshot;
+// lookups fall through m to base and inserts go to m only, so exports of
+// unchanged routes resolve to the snapshot's exact slices and hit the
+// pointer-equality fast path in samePath.
 type pathIntern struct {
-	m   map[string][]topology.ASN
-	key []byte
+	m    map[string][]topology.ASN //cdnlint:nosnapshot per-network overlay: a snapshot captures paths through its frozen routes, and restore starts the overlay empty
+	base map[string][]topology.ASN
+	key  []byte //cdnlint:nosnapshot scratch buffer, rebuilt by every lookup
 }
 
 func newPathIntern() pathIntern {
@@ -29,6 +37,17 @@ func (pi *pathIntern) appendASN(a topology.ASN) {
 	pi.key = append(pi.key, byte(a), byte(a>>8), byte(a>>16), byte(a>>24))
 }
 
+// lookup returns the interned path whose encoding is in pi.key.
+//
+//cdnlint:allocfree
+func (pi *pathIntern) lookup() ([]topology.ASN, bool) {
+	if p, ok := pi.m[string(pi.key)]; ok {
+		return p, true
+	}
+	p, ok := pi.base[string(pi.key)]
+	return p, ok
+}
+
 // repeat returns the interned path consisting of n copies of asn — the shape
 // every origination produces (one mandatory copy plus prepending).
 //
@@ -38,7 +57,7 @@ func (pi *pathIntern) repeat(asn topology.ASN, n int) []topology.ASN {
 	for i := 0; i < n; i++ {
 		pi.appendASN(asn)
 	}
-	if p, ok := pi.m[string(pi.key)]; ok {
+	if p, ok := pi.lookup(); ok {
 		return p
 	}
 	p := make([]topology.ASN, n)
@@ -59,7 +78,7 @@ func (pi *pathIntern) extend(head topology.ASN, tail []topology.ASN) []topology.
 	for _, a := range tail {
 		pi.appendASN(a)
 	}
-	if p, ok := pi.m[string(pi.key)]; ok {
+	if p, ok := pi.lookup(); ok {
 		return p
 	}
 	p := make([]topology.ASN, 1+len(tail))
@@ -70,9 +89,8 @@ func (pi *pathIntern) extend(head topology.ASN, tail []topology.ASN) []topology.
 }
 
 // seed registers an existing immutable path under its content so later
-// interning of the same content returns this exact slice. Restore seeds the
-// table with the snapshot's adj-RIB-out paths: post-restore exports of
-// unchanged routes then hit the pointer-equality fast path in samePath.
+// interning of the same content returns this exact slice. The first slice
+// seeded for a content wins.
 func (pi *pathIntern) seed(p []topology.ASN) {
 	if len(p) == 0 {
 		return

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"bestofboth/internal/netsim"
+	"bestofboth/internal/topology"
 )
 
 // NetworkSnapshot is a copy-on-write capture of all per-speaker protocol
@@ -14,19 +15,22 @@ import (
 // TCP in-order delivery clocks. Together with a netsim.Snapshot of the
 // kernel it is the complete converged-world state of the control plane.
 //
-// Routes and origin policies are immutable after publish (see the Route
-// doc), so the snapshot shares their pointers with the live network instead
-// of deep-copying: only the pointer slices and the mutable value slices
-// (pacing deadlines, damping state) are cloned. Restored worlds likewise
-// share the snapshot's routes and allocate only when a speaker actually
-// diverges after a fault — a diverging speaker builds new Routes and swaps
-// pointers, never touching the shared ones.
+// Each (speaker, prefix) pair is captured as a frozen prefixState that is
+// never written again. Routes and origin policies are immutable after
+// publish (see the Route doc), so frozen states share their pointers with
+// the live network; only the per-session slices are cloned. Restore does
+// not copy the frozen states either: a restored speaker reads them in
+// place and copies a pair only the first time it writes it (Speaker.mut),
+// so a restored world pays for the pairs its run changes, not for the
+// whole RIB. The snapshot also carries a path-intern table built from the
+// frozen adj-RIB-out paths, shared read-only by every restore.
 //
 // Snapshots can only be taken when no simulation events are pending (in
 // flight updates hold state that cannot be transplanted), which is exactly
 // the state a fully converged network leaves behind. A snapshot is immutable
 // after capture and may be restored into any number of freshly built
-// networks, concurrently: restores only read the shared routes.
+// networks, concurrently: restores only read the frozen states and the
+// path table.
 type NetworkSnapshot struct {
 	// kernels capture each shard simulator's clock, sequence counter, and
 	// RNG position (one entry per shard; the unsharded single shard wraps
@@ -34,6 +38,10 @@ type NetworkSnapshot struct {
 	// restoring it twice is idempotent).
 	kernels  []netsim.Snapshot
 	speakers []speakerSnapshot
+	// paths interns every frozen adj-RIB-out path, seeded in speaker, then
+	// prefix, then session order; restored shards use it as their read-only
+	// intern base.
+	paths map[string][]topology.ASN
 }
 
 type speakerSnapshot struct {
@@ -43,21 +51,16 @@ type speakerSnapshot struct {
 	lastFeedDeliver netsim.Seconds
 	downSess        []bool
 	sessEpoch       []uint64
-	prefixes        []prefixSnapshot
-}
-
-type prefixSnapshot struct {
-	prefix      netip.Prefix
-	in          []*Route
-	out         []*Route
-	nextAllowed []netsim.Seconds
-	best        *Route
-	origin      *OriginPolicy
-	damp        []dampState
+	// known lists the speaker's prefixes in sorted order and prefixes[k]
+	// is known[k]'s frozen state.
+	known    []netip.Prefix
+	prefixes []*prefixState
 }
 
 // Snapshot captures the network's protocol state copy-on-write. It fails if
-// simulation events are pending: snapshot only a converged network.
+// simulation events are pending: snapshot only a converged network. Pairs a
+// restored speaker still reads from its own snapshot are shared by pointer;
+// only the pairs a speaker owns are frozen anew.
 func (n *Network) Snapshot() (*NetworkSnapshot, error) {
 	if pending := n.sim.Pending(); pending != 0 {
 		return nil, fmt.Errorf("bgp: cannot snapshot with %d pending events", pending)
@@ -73,7 +76,9 @@ func (n *Network) Snapshot() (*NetworkSnapshot, error) {
 		}
 		snap.kernels[i] = ks
 	}
+	paths := newPathIntern()
 	for i, sp := range n.speakers {
+		known := slices.Clone(sp.KnownPrefixes()) // sorted: deterministic restore order
 		ss := speakerSnapshot{
 			msgCount:        sp.msgCount,
 			evCount:         sp.evCount,
@@ -81,40 +86,59 @@ func (n *Network) Snapshot() (*NetworkSnapshot, error) {
 			lastFeedDeliver: sp.lastFeedDeliver,
 			downSess:        slices.Clone(sp.downSess),
 			sessEpoch:       slices.Clone(sp.sessEpoch),
-			prefixes:        make([]prefixSnapshot, 0, len(sp.prefixes)),
+			known:           known,
+			prefixes:        make([]*prefixState, len(known)),
 		}
-		for _, p := range sp.KnownPrefixes() { // sorted: deterministic restore order
-			st := sp.prefixes[p]
-			// Route and OriginPolicy pointers are shared, not cloned: both
-			// are immutable once published. The live network moves on by
-			// swapping pointers in its own (cloned-here) slices.
-			ss.prefixes = append(ss.prefixes, prefixSnapshot{
-				prefix:      p,
-				in:          slices.Clone(st.in),
-				out:         slices.Clone(st.out),
-				nextAllowed: slices.Clone(st.nextAllowed),
-				best:        st.best,
-				origin:      st.origin,
-				damp:        slices.Clone(st.damp),
-			})
+		// Freeze the owned pairs into three backing arrays (states, route
+		// slots, pacing deadlines) instead of allocating per prefix.
+		nAdj, owned := len(sp.node.Adj), len(sp.prefixes)
+		slab := make([]prefixState, owned)
+		routeBacking := make([]*Route, 2*nAdj*owned)
+		timeBacking := make([]netsim.Seconds, nAdj*owned)
+		k := 0
+		for j, p := range known {
+			st := sp.readAt(j, p)
+			if !st.frozen {
+				rib := routeBacking[2*nAdj*k : 2*nAdj*(k+1) : 2*nAdj*(k+1)]
+				f := &slab[k]
+				*f = prefixState{
+					prefix:      p,
+					in:          rib[:nAdj:nAdj],
+					out:         rib[nAdj:],
+					nextAllowed: timeBacking[nAdj*k : nAdj*(k+1) : nAdj*(k+1)],
+					best:        st.best,
+					origin:      st.origin,
+					originRoute: st.originRoute,
+					damp:        slices.Clone(st.damp),
+					frozen:      true,
+				}
+				copy(f.in, st.in)
+				copy(f.out, st.out)
+				copy(f.nextAllowed, st.nextAllowed)
+				st = f
+				k++
+			}
+			ss.prefixes[j] = st
+			for _, r := range st.out {
+				if r != nil {
+					paths.seed(r.Path)
+				}
+			}
 		}
 		snap.speakers[i] = ss
 	}
+	snap.paths = paths.m
 	return snap, nil
 }
 
 // Restore installs a snapshot into a freshly built network over an
 // identically shaped topology (same node count and adjacency layout, e.g.
-// regenerated from the same GenConfig). The restored network shares the
-// snapshot's immutable routes and policies copy-on-write: a no-divergence
-// restore allocates only per-prefix bookkeeping (pointer-slice headers and
-// pacing arrays), never route contents, and post-restore state changes swap
-// pointers without ever writing through shared ones. Concurrent restores
-// from one snapshot are safe.
-//
-// The snapshot's adj-RIB-out paths are seeded into the network's AS-path
-// intern table, so exports computed after the restore resolve to the exact
-// shared slices and unchanged routes are recognized by pointer equality.
+// regenerated from the same GenConfig). Restore copies no RIB state: each
+// speaker reads the snapshot's frozen prefix states in place and copies a
+// (speaker, prefix) pair only on its first write, and each shard interns
+// AS paths over the snapshot's shared path table with a private overlay.
+// A no-divergence restore therefore allocates nothing per prefix, and
+// concurrent restores from one snapshot are safe.
 //
 // Loc-RIB best routes are replayed to OnBestChange subscribers (rebuilding
 // data-plane FIBs) but NOT to collector feeds: feed deliveries are
@@ -128,7 +152,7 @@ func (n *Network) Restore(snap *NetworkSnapshot) error {
 		return fmt.Errorf("bgp: snapshot has %d speakers, network has %d", len(snap.speakers), len(n.speakers))
 	}
 	for i, sp := range n.speakers {
-		if len(sp.prefixes) != 0 {
+		if len(sp.prefixes) != 0 || sp.base != nil {
 			return fmt.Errorf("bgp: speaker %d already has prefix state; restore requires a fresh network", i)
 		}
 		if len(snap.speakers[i].lastDeliver) != len(sp.node.Adj) {
@@ -142,6 +166,7 @@ func (n *Network) Restore(snap *NetworkSnapshot) error {
 		if err := sh.sim.Restore(snap.kernels[i]); err != nil {
 			return fmt.Errorf("bgp: shard %d kernel: %w", i, err)
 		}
+		sh.intern.base = snap.paths
 	}
 	for i, ss := range snap.speakers {
 		sp := n.speakers[i]
@@ -151,56 +176,12 @@ func (n *Network) Restore(snap *NetworkSnapshot) error {
 		sp.lastFeedDeliver = ss.lastFeedDeliver
 		copy(sp.downSess, ss.downSess)
 		copy(sp.sessEpoch, ss.sessEpoch)
-		// Carve this speaker's per-prefix RIB slots out of three backing
-		// arrays (one per element type) instead of allocating per prefix:
-		// restores dominate the experiment runner's allocation profile, and
-		// every prefix needs exactly len(Adj) slots per slice.
-		nAdj := len(sp.node.Adj)
-		routeBacking := make([]*Route, 2*nAdj*len(ss.prefixes))
-		timeBacking := make([]netsim.Seconds, nAdj*len(ss.prefixes))
-		pendBacking := make([]bool, nAdj*len(ss.prefixes))
-		for k, ps := range ss.prefixes {
-			rib := routeBacking[2*nAdj*k : 2*nAdj*(k+1) : 2*nAdj*(k+1)]
-			st := &prefixState{
-				prefix:      ps.prefix,
-				in:          rib[:nAdj:nAdj],
-				out:         rib[nAdj:],
-				nextAllowed: timeBacking[nAdj*k : nAdj*(k+1) : nAdj*(k+1)],
-				pending:     pendBacking[nAdj*k : nAdj*(k+1) : nAdj*(k+1)],
-				best:        ps.best,
-				origin:      ps.origin,
-				damp:        slices.Clone(ps.damp),
-			}
-			copy(st.in, ps.in)
-			copy(st.out, ps.out)
-			copy(st.nextAllowed, ps.nextAllowed)
-			if ps.origin != nil {
-				// The origin route's maximal LocalPref means it is the best
-				// route whenever an origination exists, so the snapshot's
-				// best IS the origin loc-RIB entry; rebuild defensively if a
-				// snapshot ever violates that.
-				if ps.best != nil && ps.best.learnedFrom == -1 {
-					st.originRoute = ps.best
-				} else {
-					st.originRoute = &Route{
-						Prefix:      ps.prefix,
-						LocalPref:   1 << 20,
-						MED:         ps.origin.MED,
-						OriginNode:  sp.node.ID,
-						learnedFrom: -1,
-					}
-				}
-			}
-			sp.prefixes[ps.prefix] = st
-			sp.sortedDirty = true
-			for _, r := range st.out {
-				if r != nil {
-					sp.sh.intern.seed(r.Path)
-				}
-			}
+		sp.base = ss.prefixes
+		sp.baseKnown = ss.known
+		for _, st := range ss.prefixes {
 			if st.best != nil {
 				for _, fn := range n.onBest {
-					fn(sp.node.ID, ps.prefix, st.best)
+					fn(sp.node.ID, st.prefix, st.best)
 				}
 			}
 		}

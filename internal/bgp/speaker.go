@@ -52,12 +52,21 @@ type Speaker struct {
 	// connection, so in-flight updates never arrive.
 	sessEpoch []uint64
 
+	// prefixes holds the prefix states this speaker owns and writes. On a
+	// restored network it starts empty: a pair is read from base until its
+	// first write copies it here (see mut).
 	prefixes map[netip.Prefix]*prefixState
+	// base is the restored snapshot's frozen prefix states, sorted by
+	// prefix, shared read-only with the snapshot and every sibling restore;
+	// baseKnown lists their prefixes in the same order. Both are nil on a
+	// network that was never restored.
+	base      []*prefixState
+	baseKnown []netip.Prefix
 
-	// sorted caches KnownPrefixes' sorted output; sortedDirty is set on
-	// every prefix-state insertion. Fault injection iterates the full table
-	// per session flush, which re-sorted the map keys every time before the
-	// cache existed.
+	// sorted caches KnownPrefixes' sorted output when prefixes outside base
+	// exist; sortedDirty is set whenever such a prefix first appears. Fault
+	// injection iterates the full table per session flush, which re-sorted
+	// the map keys every time before the cache existed.
 	sorted      []netip.Prefix
 	sortedDirty bool
 }
@@ -77,6 +86,10 @@ type prefixState struct {
 	// always the best route while present.
 	originRoute *Route
 	damp        []dampState // allocated on first flap when damping is on
+	// frozen marks a state captured by a snapshot. Frozen states are shared
+	// by the snapshot and every world restored from it, and are never
+	// written: a speaker writes only the copy mut makes.
+	frozen bool
 }
 
 func newSpeaker(net *Network, sh *shard, node *topology.Node) *Speaker {
@@ -110,28 +123,86 @@ func (s *Speaker) resolveReverse() {
 	}
 }
 
-func (s *Speaker) state(p netip.Prefix) *prefixState {
-	st, ok := s.prefixes[p]
-	if !ok {
-		n := len(s.node.Adj)
-		rib := make([]*Route, 2*n) // adj-RIBs-in and -out share one backing array
-		st = &prefixState{
-			prefix:      p,
-			in:          rib[:n:n],
-			out:         rib[n:],
-			nextAllowed: make([]netsim.Seconds, n),
-			pending:     make([]bool, n),
-		}
-		s.prefixes[p] = st
-		s.sortedDirty = true
-		s.net.m.prefixStates.Inc()
+// lookup returns p's state for reading: the speaker's own copy if it has
+// one, else the frozen snapshot state, else nil. Callers must not write
+// through it; mut returns a writable state.
+func (s *Speaker) lookup(p netip.Prefix) *prefixState {
+	if st, ok := s.prefixes[p]; ok {
+		return st
 	}
+	return s.frozenState(p)
+}
+
+// readAt is lookup for p = KnownPrefixes()[k], the way every full-table
+// walk reads: while no prefix outside base has appeared, KnownPrefixes is
+// baseKnown and base[k] is p's frozen state, so nothing is searched.
+func (s *Speaker) readAt(k int, p netip.Prefix) *prefixState {
+	if st, ok := s.prefixes[p]; ok {
+		return st
+	}
+	if s.sorted == nil {
+		return s.base[k]
+	}
+	return s.frozenState(p)
+}
+
+// frozenState returns p's frozen state, or nil. It searches baseKnown
+// rather than base so the search never dereferences a state.
+func (s *Speaker) frozenState(p netip.Prefix) *prefixState {
+	i, ok := slices.BinarySearchFunc(s.baseKnown, p, comparePrefix)
+	if !ok {
+		return nil
+	}
+	return s.base[i]
+}
+
+// newPrefixState allocates an empty state for p with n session slots.
+func newPrefixState(p netip.Prefix, n int) *prefixState {
+	rib := make([]*Route, 2*n) // adj-RIBs-in and -out share one backing array
+	return &prefixState{
+		prefix:      p,
+		in:          rib[:n:n],
+		out:         rib[n:],
+		nextAllowed: make([]netsim.Seconds, n),
+		pending:     make([]bool, n),
+	}
+}
+
+// mut returns st ready for writing: st itself when the speaker owns it, or
+// else a private copy of the frozen pair, which later reads and writes
+// then find in s.prefixes. Route and policy pointers stay shared (they are
+// immutable); the per-session slices are cloned, except pending, which is
+// all false in a snapshot (snapshots are quiescent).
+func (s *Speaker) mut(st *prefixState) *prefixState {
+	if !st.frozen {
+		return st
+	}
+	c := newPrefixState(st.prefix, len(st.in))
+	copy(c.in, st.in)
+	copy(c.out, st.out)
+	copy(c.nextAllowed, st.nextAllowed)
+	c.best, c.origin, c.originRoute = st.best, st.origin, st.originRoute
+	c.damp = slices.Clone(st.damp)
+	s.prefixes[st.prefix] = c
+	s.net.m.prefixCopies.Inc()
+	return c
+}
+
+// state returns p's state for writing, creating it on first sight.
+func (s *Speaker) state(p netip.Prefix) *prefixState {
+	if st := s.lookup(p); st != nil {
+		return s.mut(st)
+	}
+	st := newPrefixState(p, len(s.node.Adj))
+	s.prefixes[p] = st
+	s.sortedDirty = true
+	s.net.m.prefixStates.Inc()
 	return st
 }
 
 // Best returns the current best route for p, or nil.
 func (s *Speaker) Best(p netip.Prefix) *Route {
-	if st, ok := s.prefixes[p]; ok {
+	if st := s.lookup(p); st != nil {
 		return st.best
 	}
 	return nil
@@ -139,38 +210,48 @@ func (s *Speaker) Best(p netip.Prefix) *Route {
 
 // Originates reports whether this speaker currently originates p.
 func (s *Speaker) Originates(p netip.Prefix) bool {
-	st, ok := s.prefixes[p]
-	return ok && st.origin != nil
+	st := s.lookup(p)
+	return st != nil && st.origin != nil
 }
 
 // AdjIn returns the adj-RIB-in routes for p (nil slots for sessions with no
 // route). The returned slice must not be modified.
 func (s *Speaker) AdjIn(p netip.Prefix) []*Route {
-	if st, ok := s.prefixes[p]; ok {
+	if st := s.lookup(p); st != nil {
 		return st.in
 	}
 	return nil
 }
 
+// comparePrefix orders prefixes by address, then length: the order of
+// KnownPrefixes and of a snapshot's frozen states.
+func comparePrefix(a, b netip.Prefix) int {
+	if c := a.Addr().Compare(b.Addr()); c != 0 {
+		return c
+	}
+	return a.Bits() - b.Bits()
+}
+
 // KnownPrefixes returns every prefix with any state at this speaker, in
-// sorted order. The sorted list is cached and invalidated when a new prefix
-// appears, so repeated calls (session flushes walk the whole table) don't
-// re-sort. The returned slice is shared: callers must not modify it or hold
-// it across prefix insertions.
+// sorted order. Until a prefix outside the restored snapshot appears, that
+// is the snapshot's own list; otherwise the merged list is cached and
+// invalidated when a new prefix appears, so repeated calls (session flushes
+// walk the whole table) don't re-sort. The returned slice is shared:
+// callers must not modify it or hold it across prefix insertions.
 func (s *Speaker) KnownPrefixes() []netip.Prefix {
 	if !s.sortedDirty {
+		if s.sorted == nil { // no prefix outside base has appeared
+			return s.baseKnown
+		}
 		return s.sorted
 	}
-	s.sorted = s.sorted[:0]
+	s.sorted = append(s.sorted[:0], s.baseKnown...)
 	for p := range s.prefixes {
-		s.sorted = append(s.sorted, p)
-	}
-	slices.SortFunc(s.sorted, func(a, b netip.Prefix) int {
-		if c := a.Addr().Compare(b.Addr()); c != 0 {
-			return c
+		if s.frozenState(p) == nil {
+			s.sorted = append(s.sorted, p)
 		}
-		return a.Bits() - b.Bits()
-	})
+	}
+	slices.SortFunc(s.sorted, comparePrefix)
 	s.sortedDirty = false
 	return s.sorted
 }
@@ -195,10 +276,11 @@ func (s *Speaker) originate(p netip.Prefix, pol *OriginPolicy) {
 }
 
 func (s *Speaker) withdrawOrigin(p netip.Prefix) {
-	st, ok := s.prefixes[p]
-	if !ok || st.origin == nil {
+	st := s.lookup(p)
+	if st == nil || st.origin == nil {
 		return
 	}
+	st = s.mut(st)
 	st.origin = nil
 	st.originRoute = nil
 	s.recompute(p, st)
@@ -501,6 +583,7 @@ func (s *Speaker) export(p netip.Prefix, st *prefixState, sess int) {
 	} else if st.out[sess] == nil {
 		return
 	}
+	st = s.mut(st)
 	now := s.sh.sim.Now()
 	if !want && !s.net.cfg.PaceWithdrawals {
 		st.out[sess] = nil
@@ -587,8 +670,12 @@ func (s *Speaker) send(sess int, u Update) {
 // re-selects and re-exports every prefix whose best route was lost.
 // Iteration is over sorted prefixes so fault injection stays deterministic.
 func (s *Speaker) flushSession(sess int) {
-	for _, p := range s.KnownPrefixes() {
-		st := s.prefixes[p]
+	for k, p := range s.KnownPrefixes() {
+		st := s.readAt(k, p)
+		if st.in[sess] == nil && st.out[sess] == nil && st.nextAllowed[sess] == 0 {
+			continue // nothing to clear: leave a frozen pair shared
+		}
+		st = s.mut(st)
 		st.out[sess] = nil
 		st.nextAllowed[sess] = 0
 		if st.in[sess] == nil {
@@ -606,7 +693,7 @@ func (s *Speaker) flushSession(sess int) {
 // entire Adj-RIB-Out). adj-RIB-out for the session is empty after the
 // flush, so export sends everything the policy allows.
 func (s *Speaker) readvertiseSession(sess int) {
-	for _, p := range s.KnownPrefixes() {
-		s.export(p, s.prefixes[p], sess)
+	for k, p := range s.KnownPrefixes() {
+		s.export(p, s.readAt(k, p), sess)
 	}
 }

@@ -34,8 +34,8 @@ func (n *Network) RouteStateDigest() string {
 func (n *Network) WriteRouteState(w io.Writer) error {
 	c := canon.NewWriter(w)
 	for _, sp := range n.speakers {
-		for _, p := range sp.KnownPrefixes() {
-			c.B = appendPrefixState(c.B, sp.node.Name, p, sp.prefixes[p])
+		for k, p := range sp.KnownPrefixes() {
+			c.B = appendPrefixState(c.B, sp.node.Name, p, sp.readAt(k, p))
 			c.Spill()
 		}
 	}

@@ -1,11 +1,15 @@
 package experiment
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
+	"sync"
 	"testing"
 
 	"bestofboth/internal/bgp"
 	"bestofboth/internal/core"
+	"bestofboth/internal/topology"
 )
 
 // TestRunnerDeterminismAcrossWorkers is the regression gate for the
@@ -108,6 +112,87 @@ func TestWorldSnapshotIsolation(t *testing.T) {
 	}
 	if c.CDN.Failed("atl") {
 		t.Fatal("site failure leaked back into the snapshot")
+	}
+}
+
+// worldDigest hashes a world's route state and FIBs.
+func worldDigest(t *testing.T, w *World) string {
+	t.Helper()
+	h := sha256.New()
+	if err := w.Net.WriteRouteState(h); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Plane.WriteFIB(h); err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestConcurrentRestoresFromOneSnapshot restores eight worlds concurrently
+// from one converged snapshot, each failing a different site, at shards 1
+// and 8. Every restore shares the snapshot's frozen prefix states and path
+// table, so a write through either would corrupt its siblings (and, under
+// the race detector, be reported as a race): each failed world must digest
+// exactly like the same failure at the other shard count, and a restore
+// taken after all eight still digests to the converged snapshot.
+func TestConcurrentRestoresFromOneSnapshot(t *testing.T) {
+	sites := topology.DefaultSiteCodes
+	failed := map[int][]string{}
+	converged := map[int]string{}
+	for _, shards := range []int{1, 8} {
+		cfg := tinyConfig(23)
+		cfg.Shards = shards
+		snap, err := buildSnapshot(cfg, core.ReactiveAnycast{}, 3600)
+		if err != nil || snap == nil {
+			t.Fatalf("shards=%d: converged world not snapshotable: %v", shards, err)
+		}
+		restore := func() *World {
+			w, err := RestoreWorld(snap)
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			return w
+		}
+		converged[shards] = worldDigest(t, restore())
+
+		digests := make([]string, len(sites))
+		var wg sync.WaitGroup
+		for i, code := range sites {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				w := restore()
+				if w == nil {
+					return
+				}
+				if _, err := w.CDN.FailSite(code); err != nil {
+					t.Error(err)
+					return
+				}
+				w.Converge(3600)
+				digests[i] = worldDigest(t, w)
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		if got := worldDigest(t, restore()); got != converged[shards] {
+			t.Fatalf("shards=%d: failed-site runs leaked into the snapshot", shards)
+		}
+		failed[shards] = digests
+	}
+	if converged[1] != converged[8] {
+		t.Fatal("converged digests differ between shards=1 and shards=8")
+	}
+	for i, code := range sites {
+		if failed[1][i] != failed[8][i] {
+			t.Errorf("site %s failed: digest at shards=1 differs from shards=8", code)
+		}
+		if failed[1][i] == converged[1] {
+			t.Errorf("site %s failed: routing state unchanged", code)
+		}
 	}
 }
 

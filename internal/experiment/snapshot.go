@@ -54,12 +54,14 @@ func (w *World) Snapshot() (*WorldSnapshot, error) {
 // a fresh world from the snapshot's configuration (re-wiring all component
 // callbacks) and then overwrites the mutable state — clock, RNG position,
 // RIBs (replayed into the data plane), controller, zone, and archive — from
-// the snapshot's. Protocol state restores copy-on-write: the immutable
-// routes and origin policies are shared with the snapshot (and with sibling
-// restores) by pointer, and a restored world allocates new ones only where
-// it diverges after a fault. Everything mutable is copied, so the result is
-// bit-identical to the world the snapshot was taken from and observationally
-// isolated from it and from sibling restores.
+// the snapshot's. Protocol state restores copy-on-first-write: every
+// speaker reads the snapshot's frozen per-prefix RIB states and the shared
+// AS-path table in place (with sibling restores), and copies a (speaker,
+// prefix) pair only when its run first writes it, so a failed-site run pays
+// for the pairs it changes, not for the whole RIB. The remaining mutable
+// state is copied, so the result is bit-identical to the world the snapshot
+// was taken from and observationally isolated from it and from sibling
+// restores.
 func RestoreWorld(snap *WorldSnapshot) (*World, error) {
 	w, err := NewWorld(snap.cfg)
 	if err != nil {
