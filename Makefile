@@ -101,9 +101,9 @@ bench-baseline:
 # cannot exhibit parallel speedup and whose goroutine-heavy timings are
 # scheduler-noise-bound). The partitioner's balance gate has no such
 # escape hatch: event counts are machine-deterministic, so the run fails
-# anywhere if ConvergencePartition/mode=profiled's
-# event-imbalance-max-mean exceeds 1.15 (the pre-partitioner BFS chunk
-# cut sat at ~1.41).
+# anywhere if ConvergencePartition/mode=static's (the static cost-model
+# partitioner's) event-imbalance-max-mean exceeds 1.15 (the
+# pre-partitioner BFS chunk cut sat at ~1.41).
 # The bench output is staged in a file so the converter's compilation never
 # competes with the benchmark for CPU; the trap removes it on every exit,
 # and set -e makes a failure of either step fail the target loudly.
@@ -113,12 +113,11 @@ bench-json:
 	$(GO) run ./cmd/benchjson -baseline bench/pr9_baseline.json -out BENCH_PR9.json \
 		-max-regression-pct 10 \
 		-min-metric 'ConvergenceSharded/shards=8:speedup-x:3' \
-		-max-metric 'ConvergencePartition/mode=profiled:event-imbalance-max-mean:1.15' < "$$tmp"
+		-max-metric 'ConvergencePartition/mode=static:event-imbalance-max-mean:1.15' < "$$tmp"
 
 # Shard-equivalence gate: the digest tests proving shards=1 and shards=N
-# produce bit-identical route and FIB state — under both partition modes
-# (static and profiled; the tests iterate them) — run under the race
-# detector (the sharded runner's worker handoffs are exactly what -race
+# produce bit-identical route and FIB state for every technique and
+# bundled scenario — run under the race detector (the sharded runner's worker handoffs are exactly what -race
 # scrutinizes).
 shard-equivalence:
 	$(GO) test -race -run 'TestSharded.*Equivalence|TestShardRunner' ./internal/experiment/ ./internal/netsim/

@@ -26,7 +26,7 @@
 //     speedup. Parallel-speedup floors are unprovable on one processor, so
 //     single-proc runs downgrade the gate to a warning;
 //   - -max-metric Name:metric:ceiling (repeatable) fails the run when a
-//     custom metric exceeds its ceiling — e.g. the ≤1.15 profiled-partition
+//     custom metric exceeds its ceiling — e.g. the ≤1.15 static-partition
 //     event imbalance. Event counts are machine-deterministic, so unlike
 //     the other gates this one holds on single-proc runs too.
 //

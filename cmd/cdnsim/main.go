@@ -60,7 +60,6 @@ type options struct {
 	scaleF     float64
 	paper      bool
 	shards     int
-	partition  string
 	tech       string
 	demand     bool
 	c1Site     string
@@ -87,8 +86,6 @@ func main() {
 	flag.StringVar(&opts.scale, "scale", "1", `topology scale factor (1 ≈ 900 ASes), "paper" (~4x topology, 50K-target selection), or "internet" (~81x topology, ≈72K ASes; budget ~4 GiB and pair with -shards)`)
 	flag.IntVar(&opts.shards, "shards", 1,
 		"BGP shard simulators per world (1 = classic single kernel; converged route/FIB state is bit-identical at any shard count, transient timings follow shard-local jitter)")
-	flag.StringVar(&opts.partition, "partition", experiment.PartitionStatic,
-		`shard partition mode: "static" (topology cost model) or "profiled" (measured per-speaker event counts from a seeded warm-up converge; best balance, one extra unsharded converge per world config). Digests are identical across modes`)
 	flag.StringVar(&opts.tech, "tech", "",
 		`comma-separated techniques for the load and fig2 commands: the paper's five, "load-shift", "load-shed", "load-shift+<base>", "combined", or "all"/"seven"; with no command, implies the load command`)
 	flag.BoolVar(&opts.demand, "demand", false,
@@ -129,11 +126,6 @@ func main() {
 	}
 	if opts.shards < 1 {
 		fmt.Fprintf(os.Stderr, "cdnsim: -shards must be >= 1, got %d\n", opts.shards)
-		os.Exit(2)
-	}
-	if opts.partition != experiment.PartitionStatic && opts.partition != experiment.PartitionProfiled {
-		fmt.Fprintf(os.Stderr, "cdnsim: -partition must be %q or %q, got %q\n",
-			experiment.PartitionStatic, experiment.PartitionProfiled, opts.partition)
 		os.Exit(2)
 	}
 
@@ -211,7 +203,6 @@ func (o options) worldConfig() experiment.WorldConfig {
 		experiment.WithSeed(o.seed),
 		experiment.WithScale(o.scaleF),
 		experiment.WithShards(o.shards),
-		experiment.WithPartition(o.partition),
 		experiment.WithWorkers(o.workers),
 		experiment.WithObs(o.reg),
 	}

@@ -46,7 +46,6 @@ type NetworkSnapshot struct {
 
 type speakerSnapshot struct {
 	msgCount        uint64
-	evCount         uint64
 	lastDeliver     []netsim.Seconds
 	lastFeedDeliver netsim.Seconds
 	downSess        []bool
@@ -81,7 +80,6 @@ func (n *Network) Snapshot() (*NetworkSnapshot, error) {
 		known := slices.Clone(sp.KnownPrefixes()) // sorted: deterministic restore order
 		ss := speakerSnapshot{
 			msgCount:        sp.msgCount,
-			evCount:         sp.evCount,
 			lastDeliver:     slices.Clone(sp.lastDeliver),
 			lastFeedDeliver: sp.lastFeedDeliver,
 			downSess:        slices.Clone(sp.downSess),
@@ -171,7 +169,6 @@ func (n *Network) Restore(snap *NetworkSnapshot) error {
 	for i, ss := range snap.speakers {
 		sp := n.speakers[i]
 		sp.msgCount = ss.msgCount
-		sp.evCount = ss.evCount
 		copy(sp.lastDeliver, ss.lastDeliver)
 		sp.lastFeedDeliver = ss.lastFeedDeliver
 		copy(sp.downSess, ss.downSess)

@@ -174,7 +174,6 @@ func (s *Server) handleWorld(w http.ResponseWriter, _ *http.Request) {
 		Seed:          cfg.Seed,
 		ConfigDigest:  cfg.Digest(),
 		Shards:        shards,
-		Partition:     cfg.Partition,
 		DemandEnabled: cfg.Demand.Enabled,
 		State:         StateOf(s.world),
 	})

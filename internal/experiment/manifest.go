@@ -31,8 +31,10 @@ func (c WorldConfig) Digest() string {
 	}
 	flat := cfg.BGP
 	flat.Damping = nil
-	canon := fmt.Sprintf("seed=%d topo=%+v bgp=%+v damp=%s cdn=%+v peers=%d shards=%d partition=%s demand=%+v",
-		cfg.Seed, cfg.Topology, flat, damp, cfg.CDN, cfg.CollectorPeers, maxInt(1, cfg.Shards), cfg.Partition, cfg.Demand)
+	// "partition=static" is a constant: it keeps digests recorded in
+	// manifests and receipts from before the partitioner had a single mode.
+	canon := fmt.Sprintf("seed=%d topo=%+v bgp=%+v damp=%s cdn=%+v peers=%d shards=%d partition=static demand=%+v",
+		cfg.Seed, cfg.Topology, flat, damp, cfg.CDN, cfg.CollectorPeers, maxInt(1, cfg.Shards), cfg.Demand)
 	sum := sha256.Sum256([]byte(canon))
 	return hex.EncodeToString(sum[:])
 }

@@ -205,3 +205,24 @@ func TestManifestDigest(t *testing.T) {
 		t.Fatalf("ManifestPath = %q", got)
 	}
 }
+
+// TestConfigDigestPinned pins WorldConfig.Digest for the presets. Manifests,
+// ctl receipts and EXPERIMENTS.md record these values, so the canonical
+// string behind them must never change by accident.
+func TestConfigDigestPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  WorldConfig
+		want string
+	}{
+		{"tiny", tinyConfig(35), "ccf99119b7233bbb7515842ad5dff3c6cd3fd2f2f0b5ec58aaa4280e7175b028"},
+		{"default", DefaultWorldConfig(), "63a5b224b44bbb00e0c6e241a62591671ff6d3c7963f5aef17f26610627cfcc3"},
+		{"paper", DefaultWorldConfig(WithPaperScale()), "68c6308d7fae3c24bee19ab7c9fab18f4c628d1e2e4fbbf9ba64f1d997fccdfa"},
+		{"internet", DefaultWorldConfig(WithInternetScale(), WithShards(8)), "236973d2105e09f7c4e6fe1e9029b0d2aefb94c47a42a789cd5ce902091993fe"},
+		{"demand+damping", DefaultWorldConfig(WithDefaultDemand(), WithDamping(), WithShards(2)), "7bf59ccbc0d698fa212f477f4cf2593dabab640bf36b6ec8e72f502073738ef2"},
+	} {
+		if got := tc.cfg.Digest(); got != tc.want {
+			t.Errorf("%s: Digest() = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}

@@ -94,17 +94,6 @@ func WithShards(n int) Option {
 	return func(c *WorldConfig) { c.Shards = n }
 }
 
-// WithPartition selects how speakers are placed onto shards:
-// PartitionStatic (cost-model estimate from topology shape) or
-// PartitionProfiled (measured per-speaker event counts from a seeded
-// warm-up converge — one extra unsharded converge per ⟨seed, topology,
-// BGP config⟩, memoized). Converged digests are bit-identical across
-// modes at any shard count; only event placement, and so wall-clock
-// balance, changes. No effect unless Shards > 1.
-func WithPartition(mode string) Option {
-	return func(c *WorldConfig) { c.Partition = mode }
-}
-
 // WithDemand attaches a demand model to every world built from the config:
 // each client target gets a seeded heavy-tailed request rate and each site
 // a capacity (internal/traffic). The config's zero fields fill with the

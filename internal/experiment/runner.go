@@ -121,8 +121,8 @@ func snapKey(cfg WorldConfig, tech core.Technique, convergeTime float64) string 
 	// Shards is part of the key even though results are shard-count
 	// invariant: a snapshot's kernel list is sized to the shard count, so a
 	// snapshot taken at one count cannot restore into a world at another.
-	return fmt.Sprintf("seed=%d topo=%+v bgp=%+v damp=%s cdn=%+v peers=%d shards=%d partition=%s demand=%+v tech=%T%+v conv=%g",
-		cfg.Seed, cfg.Topology, flat, damp, cfg.CDN, cfg.CollectorPeers, maxInt(1, cfg.Shards), cfg.Partition, cfg.Demand, tech, tech, convergeTime)
+	return fmt.Sprintf("seed=%d topo=%+v bgp=%+v damp=%s cdn=%+v peers=%d shards=%d demand=%+v tech=%T%+v conv=%g",
+		cfg.Seed, cfg.Topology, flat, damp, cfg.CDN, cfg.CollectorPeers, maxInt(1, cfg.Shards), cfg.Demand, tech, tech, convergeTime)
 }
 
 // buildSnapshot deploys and converges a template world and snapshots it.

@@ -44,15 +44,6 @@ type WorldConfig struct {
 	// shard-local jitter streams, so Shards is a simulation-identity field
 	// and participates in the config digest.
 	Shards int
-	// Partition selects how speakers are placed onto shards:
-	// PartitionStatic (the default; empty means static) weighs speakers
-	// with bgp.StaticSpeakerWeights' cost model, PartitionProfiled with
-	// measured event counts from a seeded warm-up converge (see
-	// profile.go). Converged digests are bit-identical across modes, but
-	// like Shards the placement steers transient event timing, so
-	// Partition is a simulation-identity field and participates in the
-	// config digest.
-	Partition string
 	// Demand, when Enabled, attaches a seeded heavy-tailed demand model and
 	// load accountant to the CDN (internal/traffic): every client target
 	// gets a request rate drawn from Seed, every site a capacity. Demand is
@@ -74,9 +65,6 @@ func (c *WorldConfig) fillDefaults() {
 	}
 	if c.Demand.Enabled {
 		c.Demand = c.Demand.Normalized()
-	}
-	if c.Partition == "" {
-		c.Partition = PartitionStatic
 	}
 	c.Topology.Seed = c.Seed
 }
@@ -104,28 +92,11 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiment: generating topology: %w", err)
 	}
-	switch cfg.Partition {
-	case PartitionStatic, PartitionProfiled:
-	default:
-		return nil, fmt.Errorf("experiment: unknown partition mode %q (want %q or %q)",
-			cfg.Partition, PartitionStatic, PartitionProfiled)
-	}
 	sim := netsim.New(cfg.Seed)
-	var net *bgp.Network
-	if cfg.Shards > 1 {
-		var weights []float64
-		if cfg.Partition == PartitionProfiled {
-			weights, err = profiledWeights(cfg)
-			if err != nil {
-				return nil, err
-			}
-		}
-		net, err = bgp.NewShardedWeighted(sim, topo, cfg.BGP, cfg.Shards, cfg.Seed, weights)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: sharding BGP: %w", err)
-		}
-	} else {
-		net = bgp.New(sim, topo, cfg.BGP)
+	// NewSharded degrades to the single-kernel bgp.New at Shards <= 1.
+	net, err := bgp.NewSharded(sim, topo, cfg.BGP, cfg.Shards, cfg.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: sharding BGP: %w", err)
 	}
 	plane := dataplane.New(net)
 	cdn, err := core.New(net, plane, cfg.CDN)

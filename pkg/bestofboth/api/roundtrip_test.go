@@ -125,7 +125,6 @@ func TestWorldInfoRoundTrip(t *testing.T) {
 		Seed:          42,
 		ConfigDigest:  "cafe",
 		Shards:        4,
-		Partition:     "static",
 		DemandEnabled: true,
 		State: WorldState{Technique: "anycast", Availability: Availability{ReachableShare: 1},
 			Digests: Digests{RouteStateSHA256: "aa", FIBSHA256: "bb", DNSZoneSHA256: "cc"}},
